@@ -21,8 +21,8 @@ Log indices are 1-based as in the paper; ``log[0]`` is a sentinel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional
 
 from repro.errors import ConsensusError, NotLeaderError
 from repro.network.fabric import Fabric, NodeAddr
@@ -38,8 +38,10 @@ LEADER = "leader"
 _proposal_ids = itertools.count(1)
 
 
-@dataclass
-class LogEntry:
+class LogEntry(NamedTuple):
+    """One log entry. Immutable, so AppendEntries ships the leader's
+    entries as they are and followers store those very objects."""
+
     term: int
     command: Any
     #: id used to resolve the proposer's completion gate (leader-local)
@@ -224,9 +226,7 @@ class RaftNode:
         next_idx = self.next_index.get(peer, self.last_log_index + 1)
         prev_index = next_idx - 1
         prev_term = self.log[prev_index].term if prev_index < len(self.log) else 0
-        entries = [
-            (e.term, e.command, e.proposal_id) for e in self.log[next_idx:]
-        ]
+        entries = self.log[next_idx:]
         self._send(
             peer,
             "append_entries",
@@ -299,18 +299,10 @@ class RaftNode:
                 "prev_term"
             ]:
                 success = True
-                index = prev_index
-                for term, command, proposal_id in body["entries"]:
-                    index += 1
-                    if index < len(self.log):
-                        if self.log[index].term != term:
-                            del self.log[index:]  # conflict: truncate
-                            self.log.append(LogEntry(term, command, proposal_id))
-                    else:
-                        self.log.append(LogEntry(term, command, proposal_id))
-                if body["entries"]:
+                entries = body["entries"]
+                match_index = self._store_entries(prev_index, entries)
+                if entries:
                     yield self.config.persist_latency
-                match_index = index
                 if body["leader_commit"] > self.commit_index:
                     self.commit_index = min(
                         body["leader_commit"], self.last_log_index
@@ -325,6 +317,29 @@ class RaftNode:
                 "match_index": match_index,
             },
         )
+
+    def _store_entries(self, prev_index: int, entries: List[LogEntry]) -> int:
+        """Merge the entries that follow ``prev_index`` into the log,
+        truncating at the first term conflict; returns the index of the
+        last entry."""
+        log = self.log
+        start = prev_index + 1
+        held = min(len(entries), len(log) - start)
+        if log[start : start + held] == entries[:held]:
+            # the usual re-send: every entry already held matches (one
+            # C-level compare, by identity for entries from this leader)
+            log.extend(entries[held:])
+            return prev_index + len(entries)
+        index = prev_index
+        for entry in entries:
+            index += 1
+            if index < len(log):
+                if log[index].term != entry.term:
+                    del log[index:]  # conflict: truncate
+                    log.append(entry)
+            else:
+                log.append(entry)
+        return index
 
     def _on_append_entries_resp(self, body: dict) -> None:
         if self.state != LEADER or body["term"] != self.current_term:
@@ -342,16 +357,20 @@ class RaftNode:
             self._send_append_entries(peer)
 
     def _advance_commit_index(self) -> None:
-        for index in range(self.last_log_index, self.commit_index, -1):
-            if self.log[index].term != self.current_term:
-                break  # Fig. 8: only commit own-term entries directly
-            replicas = 1 + sum(
-                1 for m in self.match_index.values() if m >= index
-            )
-            if replicas >= self._quorum():
-                self.commit_index = index
-                self._apply_committed()
-                break
+        # The highest index a quorum stores is the quorum-th largest
+        # match index, the leader's own log counted. Log terms never
+        # decrease, so that entry is from the current term exactly when
+        # every entry above it is: Fig. 8 only commits own-term entries.
+        quorum = self._quorum()
+        last = self.last_log_index
+        ranked = sorted((last, *self.match_index.values()), reverse=True)
+        if len(ranked) < quorum:
+            return
+        index = min(last, ranked[quorum - 1])
+        if index > self.commit_index and \
+                self.log[index].term == self.current_term:
+            self.commit_index = index
+            self._apply_committed()
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:

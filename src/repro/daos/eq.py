@@ -252,6 +252,9 @@ class EventQueue:
         event._result = result
         event._error = error
         event.complete_time = self.sim.now
+        # the finished task (generator, waiters) is of no further use:
+        # release it now rather than for as long as the event is held
+        event._task = None
         tracer = self.sim.tracer
         if tracer is not None and event._span is not None:
             tracer.end(

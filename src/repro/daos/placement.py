@@ -62,11 +62,14 @@ class Layout:
 
     ``groups[g]`` lists the target ids of redundancy group *g* (first
     entry is the group leader). A dkey belongs to exactly one group.
+    Groups are tuples of ints: layouts live as long as the pool, and the
+    cyclic garbage collector untracks tuples of atomics, so a large pool
+    of cached layouts adds nothing to its full collections.
     """
 
     __slots__ = ("oid", "groups", "_probe", "_spares")
 
-    def __init__(self, oid: ObjId, groups: List[List[int]],
+    def __init__(self, oid: ObjId, groups: Tuple[Tuple[int, ...], ...],
                  probe: "Tuple[int, int, int]" = None):
         self.oid = oid
         self.groups = groups
@@ -113,7 +116,7 @@ class Layout:
     def group_of_dkey(self, dkey) -> int:
         return dkey_hash(dkey) % len(self.groups)
 
-    def targets_for_dkey(self, dkey) -> List[int]:
+    def targets_for_dkey(self, dkey) -> Tuple[int, ...]:
         """All replica targets holding ``dkey`` (leader first)."""
         return self.groups[self.group_of_dkey(dkey)]
 
@@ -158,15 +161,16 @@ class PlacementMap:
                 taken.add(probe)
                 chosen.append(probe)
             probe = (probe + stride) % self.n_targets
-        groups = [
-            chosen[g * width : (g + 1) * width] for g in range(groups_nr)
-        ]
+        groups = tuple(
+            tuple(chosen[g * width : (g + 1) * width]) for g in range(groups_nr)
+        )
         layout = Layout(oid, groups, probe=(self.n_targets, start, stride))
         self._cache[key] = layout
         return layout
 
 
-def effective_groups(layout: Layout, downout: frozenset) -> List[List[int]]:
+def effective_groups(layout: Layout,
+                     downout: frozenset) -> Sequence[Sequence[int]]:
     """Substitute DOWNOUT members with deterministic spares.
 
     Every DOWNOUT slot (group-major order) takes the next spare from the

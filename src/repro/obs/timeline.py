@@ -23,9 +23,11 @@ ticks does advance the simulator's event sequence counter, but the
 relative FIFO order of all non-scraper events is unchanged.
 
 Deadlock transparency: a perpetually self-rescheduling task would keep
-the event heap non-empty forever and mask
+an event pending forever and mask
 :class:`~repro.errors.DeadlockError`. The scraper therefore **parks**
-whenever it finds the heap empty at a tick, and is revived by a poke
+whenever it finds no other event pending at a tick (neither on the
+heap nor on the zero-delay ready queue, see
+:meth:`repro.sim.core.Simulator.has_pending`), and is revived by a poke
 from :meth:`repro.sim.core.Simulator.spawn` (``sim.timeline``). Tick
 times stay aligned to ``origin + k*interval`` across park gaps.
 
@@ -224,8 +226,8 @@ class TimelineScraper:
         self._sample(now)
         self._k = self._scheduled_k
         # Park when nothing else is pending: staying scheduled would
-        # keep the heap non-empty forever and mask DeadlockError.
-        if self.sim._heap:
+        # keep an event pending forever and mask DeadlockError.
+        if self.sim.has_pending():
             self._schedule_tick(self._k + 1)
         else:
             self._parked = True

@@ -3,9 +3,21 @@
 Design notes
 ------------
 
-* The event heap stores ``(time, seq, callback)`` tuples; ``seq`` breaks
-  ties FIFO so same-time events run in schedule order, which makes runs
-  deterministic regardless of callback identity.
+* Every scheduled callback takes the next sequence number ``seq``, and
+  events run in ``(time, seq)`` order: ties break FIFO, so same-time
+  events run in schedule order and runs are deterministic regardless of
+  callback identity.
+* Pending events live in two queues. Positive delays go on a heap of
+  ``(time, seq, callback, args)`` tuples. A zero delay scheduled while a
+  run loop is active goes on a FIFO *ready* deque instead, at the
+  current time, skipping the heap push and pop (most events in a figure
+  sweep are zero-delay wake-ups). The run loops merge the two by
+  ``(time, seq)``: a heap entry at the current time with a lower
+  ``seq`` still runs first. Such entries come from delays absorbed by
+  float rounding (``now + d == now``), from the flow solver, which
+  pushes completions straight onto ``_heap``, and from ready entries
+  spilled back when a loop exits. Outside a run loop the ready deque is
+  always empty, so ``_seq - len(_heap)`` counts the callbacks dispatched.
 * Tasks are generators. A task may ``yield``:
 
   - ``float | int`` — sleep that many simulated seconds,
@@ -25,7 +37,8 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
@@ -150,25 +163,25 @@ class Task:
 
     def _wire(self, yielded: Any) -> None:
         sim = self.sim
+        kind = type(yielded)
         if yielded is None:
             sim.schedule(0.0, self._step)
+        elif kind is float:
+            sim.schedule(yielded, self._step)
+        elif kind is Timeout:
+            sim.schedule(yielded.delay, self._step, yielded.value)
+        elif kind is Task:
+            self._join(yielded)
+        elif kind is int:
+            sim.schedule(float(yielded), self._step)
         elif isinstance(yielded, (int, float)):
             sim.schedule(float(yielded), self._step)
         elif isinstance(yielded, Timeout):
             sim.schedule(yielded.delay, self._step, yielded.value)
         elif isinstance(yielded, Task):
-            target = yielded
-
-            def _joined() -> None:
-                if target._error is not None:
-                    target._error_observed = True
-                    self._step(None, target._error)
-                else:
-                    self._step(target._result)
-
-            target._subscribe(_joined)
+            self._join(yielded)
         elif hasattr(yielded, "_subscribe"):
-            yielded._subscribe(lambda value=None: self._step(value))
+            yielded._subscribe(self._step)
         else:
             self._step(
                 None,
@@ -176,6 +189,16 @@ class Task:
                     f"task {self.name!r} yielded unawaitable {yielded!r}"
                 ),
             )
+
+    def _join(self, target: "Task") -> None:
+        def _joined() -> None:
+            if target._error is not None:
+                target._error_observed = True
+                self._step(None, target._error)
+            else:
+                self._step(target._result)
+
+        target._subscribe(_joined)
 
     def _finish(self, result: Any, error: BaseException | None) -> None:
         self._done = True
@@ -198,6 +221,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
+        #: zero-delay events scheduled during a run loop, in seq order;
+        #: all at the current time, and empty whenever no loop is active
+        self._ready: Deque[tuple[float, int, Callable, tuple]] = deque()
+        self._in_loop = False
         self._seq = 0
         self._failures: list[Task] = []
         self._running = False
@@ -215,9 +242,17 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
+    def has_pending(self) -> bool:
+        """True while any scheduled event has yet to run."""
+        return bool(self._heap or self._ready)
+
     # -- scheduling --------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
+        if delay == 0 and self._in_loop:
+            self._seq += 1
+            self._ready.append((self._now, self._seq, callback, args))
+            return
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq += 1
@@ -234,54 +269,86 @@ class Simulator:
         self.schedule(0.0, task._step)
         if self.timeline is not None:
             # Revive a parked metrics scraper (repro.obs.timeline); the
-            # scraper parks whenever the heap drains so it cannot mask
-            # DeadlockError, and new activity starts it ticking again.
+            # scraper parks whenever no event is pending so it cannot
+            # mask DeadlockError, and new activity starts it ticking again.
             self.timeline.on_activity()
         return task
 
     # -- execution ---------------------------------------------------------
+    def _enter_loop(self) -> bool:
+        """Route zero-delay events to the ready deque; True if outermost."""
+        outer = not self._in_loop
+        self._in_loop = True
+        return outer
+
+    def _exit_loop(self, outer: bool) -> None:
+        """Leaving the outermost loop: spill pending ready entries back
+        onto the heap, where they keep their ``(time, seq)`` order."""
+        if not outer:
+            return
+        self._in_loop = False
+        ready = self._ready
+        while ready:
+            heapq.heappush(self._heap, ready.popleft())
+
     def step(self) -> bool:
-        """Execute the next event; returns False if the heap is empty."""
-        if not self._heap:
+        """Execute the next event; returns False if none is pending."""
+        heap = self._heap
+        ready = self._ready
+        if ready and not (heap and heap[0] < ready[0]):
+            _time, _seq, callback, args = ready.popleft()
+        elif heap:
+            time, _seq, callback, args = heapq.heappop(heap)
+            if time < self._now - 1e-12:
+                raise SimulationError("event heap went backwards")
+            self._now = max(self._now, time)
+        else:
             return False
-        time, _seq, callback, args = heapq.heappop(self._heap)
-        if time < self._now - 1e-12:
-            raise SimulationError("event heap went backwards")
-        self._now = max(self._now, time)
         callback(*args)
         self._raise_failures()
         return True
 
     def run(self, until: float | None = None) -> float:
-        """Run events until the heap drains or ``until`` is reached.
+        """Run events until none is pending or ``until`` is reached.
 
         Returns the simulated time at which execution stopped.
 
         The dispatch loop is :meth:`step` inlined — same checks, same
         ordering — because the per-event method call is measurable on
-        multi-million-event figure sweeps.
+        multi-million-event figure sweeps. A ready entry always sits at
+        the current time, which ``until`` has not passed, so only heap
+        entries need the ``until`` and clock checks.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        outer = self._enter_loop()
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
         failures = self._failures
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
+            while True:
+                if ready and not (heap and heap[0] < ready[0]):
+                    _time, _seq, callback, args = popleft()
+                elif heap:
+                    if until is not None and heap[0][0] > until:
+                        self._now = until
+                        break
+                    time, _seq, callback, args = pop(heap)
+                    if time < self._now - 1e-12:
+                        raise SimulationError("event heap went backwards")
+                    if time > self._now:
+                        self._now = time
+                else:
                     break
-                time, _seq, callback, args = pop(heap)
-                if time < self._now - 1e-12:
-                    raise SimulationError("event heap went backwards")
-                if time > self._now:
-                    self._now = time
                 callback(*args)
                 if failures:
                     self._raise_failures()
         finally:
             self._running = False
+            self._exit_loop(outer)
         if until is not None and not heap and self._now < until:
             self._now = until
         return self._now
@@ -291,24 +358,33 @@ class Simulator:
 
         Dispatch is inlined as in :meth:`run`.
         """
+        outer = self._enter_loop()
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
+        popleft = ready.popleft
         failures = self._failures
-        while not task._done:
-            if not heap:
-                raise DeadlockError(
-                    f"no runnable events but task {task.name!r} is pending"
-                )
-            if self._now > limit:
-                raise SimulationError(f"simulation exceeded limit t={limit}")
-            time, _seq, callback, args = pop(heap)
-            if time < self._now - 1e-12:
-                raise SimulationError("event heap went backwards")
-            if time > self._now:
-                self._now = time
-            callback(*args)
-            if failures:
-                self._raise_failures()
+        try:
+            while not task._done:
+                if self._now > limit and (heap or ready):
+                    raise SimulationError(f"simulation exceeded limit t={limit}")
+                if ready and not (heap and heap[0] < ready[0]):
+                    _time, _seq, callback, args = popleft()
+                elif heap:
+                    time, _seq, callback, args = pop(heap)
+                    if time < self._now - 1e-12:
+                        raise SimulationError("event heap went backwards")
+                    if time > self._now:
+                        self._now = time
+                else:
+                    raise DeadlockError(
+                        f"no runnable events but task {task.name!r} is pending"
+                    )
+                callback(*args)
+                if failures:
+                    self._raise_failures()
+        finally:
+            self._exit_loop(outer)
         return task.result
 
     # -- failure bookkeeping -------------------------------------------------

@@ -126,6 +126,19 @@ def test_abort_cancels_and_marks_aborted():
         event.result
 
 
+def test_abort_after_completion_is_a_no_op():
+    sim = Simulator()
+    eq = EventQueue(sim)
+    event = eq.launch(op(sim, 1.0, "done"))
+    sim.run()
+    assert event.state == EV_COMPLETED
+    event.abort()  # the finished task is already released
+    sim.run()
+    assert event.state == EV_COMPLETED
+    assert event.result == "done"
+    assert event.complete_time == 1.0
+
+
 def test_close_aborts_everything_in_flight():
     sim = Simulator()
     eq = EventQueue(sim)

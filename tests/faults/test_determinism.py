@@ -28,27 +28,37 @@ pytestmark = pytest.mark.chaos
 @settings(max_examples=40, deadline=None)
 @given(
     delays=st.lists(
-        st.sampled_from([0.0, 1e-6, 2e-6, 1e-3, 1.0]),
+        st.sampled_from([0.0, 1e-30, 1e-6, 2e-6, 1e-3, 1.0]),
         min_size=1,
         max_size=24,
     )
 )
 def test_event_heap_fifo_tie_break(delays):
     """Events scheduled for the same instant run in scheduling order —
-    the invariant that makes every other test here meaningful."""
+    the invariant that makes every other test here meaningful. The
+    events are scheduled from a callback at t=1, inside the run loop, so
+    zero delays take the ready queue, and 1e-30 is absorbed by float
+    rounding (1 + 1e-30 == 1): it ties with the zero delays."""
 
     def run_once():
         sim = Simulator()
         order = []
-        for i, delay in enumerate(delays):
-            sim.schedule(delay, order.append, (delay, i))
+
+        def start():
+            for i, delay in enumerate(delays):
+                sim.schedule(delay, order.append, (delay, i))
+
+        sim.schedule(1.0, start)
         sim.run()
         return order
 
     first = run_once()
-    # (delay, insertion-index) tuples: lexicographic sort IS the
-    # FIFO-within-timestamp contract.
-    assert first == sorted((d, i) for i, d in enumerate(delays))
+    # (due time, insertion-index) order IS the FIFO-within-timestamp
+    # contract.
+    assert first == sorted(
+        ((d, i) for i, d in enumerate(delays)),
+        key=lambda item: (1.0 + item[0], item[1]),
+    )
     assert run_once() == first
 
 

@@ -289,6 +289,34 @@ def test_scraper_parks_and_revives_across_idle_gaps():
         assert abs(k - round(k)) < 1e-9, t
 
 
+def test_scraper_stays_up_when_only_zero_delay_work_is_pending():
+    """Zero-delay events scheduled inside a run loop wait on the ready
+    queue, not the heap; a tick that finds only those pending must keep
+    ticking rather than park."""
+    sim = _observed_sim(interval=0.1)
+    parked_at_wakeup = []
+
+    def wakeup():
+        parked_at_wakeup.append(sim.timeline._parked)
+        sim.metrics.incr("c")
+        sim.schedule(0.15, sim.metrics.incr, "c")
+
+    def arm():
+        # runs at t=0.1 just before that tick: its zero-delay follow-up
+        # is the only pending event when the tick fires
+        sim.schedule(0.0, wakeup)
+
+    def idle():
+        yield None
+
+    sim.schedule(0.1, arm)
+    sim.spawn(idle(), "revive")  # the spawn starts the scraper
+    sim.run()
+    assert parked_at_wakeup == [False]
+    ticks = [t for t, _v in sim.timeline.store.series["c:rate"].points]
+    assert any(abs(t - 0.2) < 1e-9 for t in ticks)
+
+
 def test_rates_use_actual_elapsed_across_park_gaps():
     sim = _observed_sim(interval=0.1)
 

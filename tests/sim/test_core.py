@@ -275,3 +275,79 @@ def test_nested_spawns_interleave_deterministically():
         ("a", 3.0),
         ("b", 4.5),
     ]
+
+
+# ------------------------------------------------- Task._wire yield kinds
+# ``_wire`` dispatches on exact types (None, float, int, Timeout, Task)
+# first; anything else takes the isinstance / ``_subscribe`` fallback.
+
+
+def _resume_times(*yields):
+    sim = Simulator()
+    times = []
+
+    def proc():
+        for item in yields:
+            got = yield item
+            times.append((sim.now, got))
+
+    task = sim.spawn(proc())
+    sim.run()
+    assert task.done and task.error is None
+    return times
+
+
+def test_yield_bool_sleeps_like_an_int():
+    assert _resume_times(True, False) == [(1.0, None), (1.0, None)]
+
+
+def test_yield_numpy_float_sleeps():
+    np = pytest.importorskip("numpy")
+    times = _resume_times(np.float64(1e-6), 2)
+    assert times == [(1e-6, None), (1e-6 + 2.0, None)]
+    assert all(type(t) is float for t, _ in times)
+
+
+def test_yield_timeout_subclass_delivers_value():
+    class Backoff(Timeout):
+        __slots__ = ()
+
+    assert _resume_times(Backoff(0.5, "v"), Timeout(0.25)) == [
+        (0.5, "v"), (0.75, None)
+    ]
+
+
+def test_yield_custom_subscribe_object():
+    class Later:
+        """An awaitable that calls back once, 3 s on, with a value."""
+
+        def __init__(self, sim):
+            self.sim = sim
+
+        def _subscribe(self, callback):
+            self.sim.schedule(3.0, callback, "woken")
+
+    sim = Simulator()
+    got = []
+
+    def proc():
+        got.append((yield Later(sim)))
+        got.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run()
+    assert got == ["woken", 3.0]
+
+
+def test_yield_unawaitable_error_text():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield "soon"
+        except SimulationError as exc:
+            return str(exc)
+
+    task = sim.spawn(proc(), "picky")
+    sim.run()
+    assert task.result == "task 'picky' yielded unawaitable 'soon'"
