@@ -31,6 +31,29 @@ set of flows whose rates may change, lets it *compute* new rates, then
 *allocates* — syncing and rescheduling only the affected transfers and
 sampling utilization gauges only for the affected links.
 
+Inside a run loop, compute and allocate happen once per simulated
+instant, not once per mutation. The first mutation of an instant queues
+one zero-delay flush, which re-queues itself while other work is due at
+that instant and then solves everything registered since. Anything that
+can observe a rate solves pending mutations first:
+
+- :attr:`Flow.rate` and :meth:`Link.utilization`;
+- starting a transfer (its completion time needs the rate);
+- a completion event, before its generation check, so a completion
+  coinciding with a mutation is superseded as if solved at once;
+- closing a flow with transfers in flight (they finish at the rate the
+  flow had when closed).
+
+No simulated time passes between mutations at one instant, so
+intermediate rates move no bytes, and the one coalesced solve sees the
+state the last per-mutation solve would have: the same rates bit for
+bit under the reference solver or within one component (several dirty
+components filled together may differ in the last ulp, as the two
+solvers already do). A transfer whose completion is due at the current
+instant counts as finished when re-solved, so its completion time cannot
+hang on rounding noise in its residual bytes. Outside a run loop (direct
+API use, ``Simulator.step`` driving) every mutation still solves at once.
+
 Two solvers implement the compute phase:
 
 - :class:`ReferenceSolver` — the original pure-Python progressive
@@ -52,10 +75,10 @@ Select with ``REPRO_FLOW_SOLVER=reference|incremental`` (or the
 ``solver=`` argument) to bisect determinism suspects.
 
 Reallocation happens only when the flow population changes (open/close/
-cap change), so steady phases — exactly what bulk-I/O benchmarks produce —
-cost almost nothing. In-flight :class:`Transfer` objects integrate their
-remaining bytes across rate changes, so completion times are exact under
-the fluid model.
+cap change), at most once per instant, so steady phases — exactly what
+bulk-I/O benchmarks produce — cost almost nothing. In-flight
+:class:`Transfer` objects integrate their remaining bytes across rate
+changes, so completion times are exact under the fluid model.
 """
 
 from __future__ import annotations
@@ -87,13 +110,14 @@ _LOG = logging.getLogger(__name__)
 class Link:
     """A capacity-constrained resource (bytes/s)."""
 
-    __slots__ = ("name", "capacity", "_flows")
+    __slots__ = ("name", "capacity", "network", "_flows")
 
-    def __init__(self, name: str, capacity: float):
+    def __init__(self, name: str, capacity: float, network: "FlowNetwork"):
         if capacity <= 0:
             raise NetworkError(f"link {name!r} needs positive capacity")
         self.name = name
         self.capacity = float(capacity)
+        self.network = network
         self._flows: Dict["Flow", float] = {}
 
     @property
@@ -102,7 +126,9 @@ class Link:
 
     def utilization(self) -> float:
         """Fraction of capacity consumed by current allocations."""
-        used = sum(flow.rate * weight for flow, weight in self._flows.items())
+        if self.network._dirty:
+            self.network._reallocate()
+        used = sum(flow._rate * weight for flow, weight in self._flows.items())
         return used / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -112,7 +138,7 @@ class Link:
 class Flow:
     """An active flow; ``rate`` is kept current by the network."""
 
-    __slots__ = ("network", "links", "cap", "rate", "_transfers", "label",
+    __slots__ = ("network", "links", "cap", "_rate", "_transfers", "label",
                  "_serial")
 
     def __init__(
@@ -125,10 +151,17 @@ class Flow:
         self.network = network
         self.links = links
         self.cap = cap
-        self.rate = 0.0
+        self._rate = 0.0  # written by the solvers
         self._transfers: List["Transfer"] = []
         self.label = label
         self._serial = 0  # assigned by FlowNetwork.open; orders solves
+
+    @property
+    def rate(self) -> float:
+        """Current max-min fair rate (bytes/s); settles pending mutations."""
+        if self.network._dirty:
+            self.network._reallocate()
+        return self._rate
 
     def transfer(self, nbytes: float) -> "Transfer":
         """Start moving ``nbytes`` on this flow; yield the result to wait."""
@@ -138,10 +171,10 @@ class Flow:
         """Change the intrinsic rate cap and reallocate."""
         self.cap = cap
         self.network._solver.note_cap_changed(self)
-        self.network._reallocate()
+        self.network._mutated()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Flow {self.label or id(self)} rate={self.rate:.3g}>"
+        return f"<Flow {self.label or id(self)} rate={self._rate:.3g}>"
 
 
 class Transfer:
@@ -152,7 +185,7 @@ class Transfer:
     """
 
     __slots__ = ("flow", "nbytes", "remaining", "last_t", "gate",
-                 "_generation", "done")
+                 "_generation", "_due", "done")
 
     def __init__(self, flow: Flow, nbytes: float, sim: Simulator):
         self.flow = flow
@@ -161,6 +194,7 @@ class Transfer:
         self.last_t = sim.now
         self.gate = Gate(sim)
         self._generation = 0
+        self._due = math.inf  # time of the live completion event
         self.done = False
 
     def _subscribe(self, callback) -> None:
@@ -204,8 +238,6 @@ class ReferenceSolver:
 
     def plan(self) -> Tuple[List[Flow], List[Link]]:
         net = self.net
-        if not net._flows:
-            return [], []
         return net._flows, list(net._links.values())
 
     # -- compute phase ----------------------------------------------------
@@ -216,7 +248,7 @@ class ReferenceSolver:
         denom: Dict[Link, float] = {}
         flow_links: Dict[Flow, List[Tuple[Link, float]]] = {}
         for flow in flows:
-            flow.rate = 0.0
+            flow._rate = 0.0
             flow_links[flow] = flow.links
             for link, weight in flow.links:
                 denom[link] = denom.get(link, 0.0) + weight
@@ -252,7 +284,7 @@ class ReferenceSolver:
                 # they are infinitely fast in the fluid model; pick a huge
                 # rate so transfers are effectively instantaneous.
                 for i in unfixed:
-                    flows[i].rate = _UNBOUNDED_RATE
+                    flows[i]._rate = _UNBOUNDED_RATE
                 break
             if delta < 0:
                 delta = 0.0
@@ -286,7 +318,7 @@ class ReferenceSolver:
                     continue
                 unfixed.discard(i)
                 flow = flows[i]
-                flow.rate = level
+                flow._rate = level
                 for link, weight in flow_links[flow]:
                     denom[link] -= weight
                     if denom[link] < _EPS:
@@ -448,13 +480,15 @@ class IncrementalSolver:
         lmask = np.zeros(nc, dtype=bool)
         for flow in self._dirty_flows:
             fmask[row_of[flow]] = True
+        # dirty links left with no flow: nothing to solve, but their
+        # utilization gauges still drop to zero
         gauge_extras = [l for l in self._dirty_links if not l._flows]
         for link in self._dirty_links:
             lmask[self._col_of[link]] = True
         self._dirty_links.clear()
         self._dirty_flows.clear()
         if not nr:
-            return [], []
+            return [], gauge_extras
         # Fixpoint expansion over the incidence matrix: freed rows are
         # zeroed, so only live flows join the component.
         Wv = self._W[:nr, :nc]
@@ -468,7 +502,7 @@ class IncrementalSolver:
             count = grown
         rows = np.nonzero(fmask)[0]
         if not rows.size:
-            return [], []
+            return [], gauge_extras
         rows = rows[np.argsort(self._serials[rows])]
         flow_of_row = self._flow_of_row
         flows = [flow_of_row[r] for r in rows]
@@ -601,7 +635,7 @@ class IncrementalSolver:
                     denom[lc] = vals
 
         for i, flow in enumerate(flows):
-            flow.rate = float(rates[i])
+            flow._rate = float(rates[i])
 
 
 _SOLVERS = {
@@ -622,6 +656,11 @@ class FlowNetwork:
         self.sim = sim
         self._links: Dict[str, Link] = {}
         self._flows: List[Flow] = []
+        #: mutations registered with the solver but not yet solved
+        self._dirty = False
+        #: a flush event is queued (see :meth:`_mutated`)
+        self._flush_queued = False
+        #: solver runs
         self.reallocations = 0
         #: count of progressive-filling runs that hit the non-convergence
         #: fallback (see :meth:`_note_forced_exit`)
@@ -642,15 +681,11 @@ class FlowNetwork:
                 f"(valid: {', '.join(sorted(_SOLVERS))})"
             ) from None
 
-    @property
-    def solver_name(self) -> str:
-        return self._solver.name
-
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float) -> Link:
         if name in self._links:
             raise NetworkError(f"duplicate link {name!r}")
-        link = Link(name, capacity)
+        link = Link(name, capacity, self)
         self._links[name] = link
         self._solver.note_link_added(link)
         return link
@@ -671,7 +706,7 @@ class FlowNetwork:
             )
         link.capacity = float(capacity)
         self._solver.note_link_dirty(link)
-        self._reallocate()
+        self._mutated()
 
     # -- flows ---------------------------------------------------------------
     def open(
@@ -691,24 +726,30 @@ class FlowNetwork:
             link._flows[flow] = weight
         self._flows.append(flow)
         self._solver.note_flow_added(flow)
-        self._reallocate()
+        self._mutated()
         return flow
 
     def close(self, flow: Flow) -> None:
-        """Deregister a flow (any unfinished transfers on it stall forever)."""
+        """Deregister a flow. Transfers in flight on it still finish, at
+        the rate the flow had when closed; later ones on it never do."""
         if flow not in self._flows:
             return
+        if self._dirty and flow._transfers:
+            # that rate is an observation: settle this instant's mutations
+            self._reallocate()
         self._flows.remove(flow)
         for link, _w in flow.links:
             link._flows.pop(flow, None)
-        flow.rate = 0.0
+        flow._rate = 0.0
         self._solver.note_flow_removed(flow)
-        self._reallocate()
+        self._mutated()
 
     # -- transfers -------------------------------------------------------------
     def _start_transfer(self, flow: Flow, nbytes: float) -> Transfer:
         if nbytes < 0:
             raise NetworkError(f"negative transfer size {nbytes}")
+        if self._dirty:
+            self._reallocate()
         transfer = Transfer(flow, nbytes, self.sim)
         if nbytes == 0:
             transfer.done = True
@@ -727,13 +768,18 @@ class FlowNetwork:
     def _schedule_completion(self, transfer: Transfer) -> None:
         transfer._generation += 1
         generation = transfer._generation
-        rate = transfer.flow.rate
+        rate = transfer.flow._rate
         if rate <= _EPS:
             return  # stalled; a future reallocation reschedules
         delay = transfer.remaining / rate
+        transfer._due = self.sim.now + delay
         self.sim.schedule(delay, self._complete, transfer, generation)
 
     def _complete(self, transfer: Transfer, generation: int) -> None:
+        if self._dirty:
+            # a mutation at this instant may have changed the rate: solve
+            # first, so the generation check sees it as it would have
+            self._reallocate()
         if transfer.done or generation != transfer._generation:
             return  # stale event from before a reallocation
         # A matching generation means no reallocation has touched the flow
@@ -752,18 +798,34 @@ class FlowNetwork:
             metrics.gauge("fabric.xfer.inflight").add(self.sim.now, -1)
         transfer.gate.open(self.sim.now)
 
-    def _sync_transfer(self, transfer: Transfer) -> None:
-        now = self.sim.now
-        elapsed = now - transfer.last_t
-        if elapsed > 0:
-            transfer.remaining -= transfer.flow.rate * elapsed
-            if transfer.remaining < 0:
-                transfer.remaining = 0.0
-            transfer.last_t = now
-
     # -- allocation --------------------------------------------------------------
+    def _mutated(self) -> None:
+        """A mutation has registered its dirt with the solver. Outside a
+        run loop, solve now. Inside one, solve once per simulated instant:
+        the first mutation queues a zero-delay flush, which runs after the
+        instant's other work (see :meth:`_flush`)."""
+        sim = self.sim
+        if not sim._in_loop:
+            self._reallocate()
+            return
+        self._dirty = True
+        if not self._flush_queued:
+            self._flush_queued = True
+            sim.schedule(0.0, self._flush)
+
+    def _flush(self) -> None:
+        """Queued flush: re-queue while other work is due at this instant
+        (more mutations may follow), else solve what is still dirty."""
+        if self._dirty and self.sim.has_pending_now():
+            self.sim.schedule(0.0, self._flush)
+            return
+        self._flush_queued = False
+        if self._dirty:
+            self._reallocate()
+
     def _reallocate(self) -> None:
         """Register -> compute -> allocate over the affected flow set."""
+        self._dirty = False
         self.reallocations += 1
         t0 = time.perf_counter()
         flows, links = self._solver.plan()
@@ -771,11 +833,18 @@ class FlowNetwork:
             sim = self.sim
             now = sim.now
             # Bring affected transfers up to date under the *old* rates
-            # (the body of _sync_transfer, inlined: this loop runs once
-            # per in-flight transfer per reallocation).
+            # (inlined: this loop runs once per in-flight transfer per
+            # reallocation).
             for flow in flows:
-                rate = flow.rate
+                rate = flow._rate
                 for transfer in flow._transfers:
+                    if transfer._due <= now:
+                        # Due now: finished under the fluid model, so the
+                        # residual below would be rounding noise, and the
+                        # re-push time would then hang on the new rate.
+                        transfer.remaining = 0.0
+                        transfer.last_t = now
+                        continue
                     elapsed = now - transfer.last_t
                     if elapsed > 0:
                         transfer.remaining -= rate * elapsed
@@ -791,16 +860,18 @@ class FlowNetwork:
             push = heapq.heappush
             complete = self._complete
             for flow in flows:
-                rate = flow.rate
+                rate = flow._rate
                 if rate <= _EPS:
                     for transfer in flow._transfers:
                         transfer._generation += 1  # stalls; reallocation later
+                        transfer._due = math.inf
                     continue
                 for transfer in flow._transfers:
                     transfer._generation += 1
+                    transfer._due = due = now + transfer.remaining / rate
                     sim._seq += 1
                     push(heap, (
-                        now + transfer.remaining / rate,
+                        due,
                         sim._seq,
                         complete,
                         (transfer, transfer._generation),
@@ -811,7 +882,7 @@ class FlowNetwork:
         # point of the piecewise-constant fluid rates, so sampling here
         # captures the exact utilisation curve of each affected link.
         metrics = self.sim.metrics
-        if metrics is not None and flows:
+        if metrics is not None:
             now = self.sim.now
             for link in links:
                 gauge = metrics.gauge(

@@ -246,6 +246,11 @@ class Simulator:
         """True while any scheduled event has yet to run."""
         return bool(self._heap or self._ready)
 
+    def has_pending_now(self) -> bool:
+        """True while an event is due at the current time."""
+        heap = self._heap
+        return bool(self._ready) or (bool(heap) and heap[0][0] <= self._now)
+
     # -- scheduling --------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError
+from repro.errors import DeadlockError, NetworkError
 from repro.network.flows import FlowNetwork
 from repro.sim import Simulator
+from tests.network.test_coalesced_solve import EagerFlowNetwork
 
 
 def make_net():
@@ -382,3 +383,207 @@ def test_allocation_is_feasible_and_work_conserving(capacities, flow_specs):
             slack[link] <= 1e-6 * link.capacity for link, _ in flow.links
         )
         assert capped or saturated
+
+
+# -- one coalesced solve per simulated instant --------------------------------
+
+
+def test_rate_read_in_task_sees_coalesced_solve():
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+    seen = []
+
+    def proc():
+        f1 = net.open([(link, 1.0)])
+        f2 = net.open([(link, 1.0)])
+        seen.append((net.reallocations, f1.rate, f2.rate, net.reallocations))
+        yield None
+
+    sim.spawn(proc())
+    sim.run()
+    # neither open is solved until a rate is read
+    assert seen == [(0, 50.0, 50.0, 1)]
+    assert net.reallocations == 1
+
+
+def test_utilization_read_in_task_sees_coalesced_solve():
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+    seen = []
+
+    def proc():
+        net.open([(link, 1.0)], cap=20.0)
+        net.open([(link, 1.0)], cap=30.0)
+        seen.append(link.utilization())
+        yield None
+
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [0.5]
+    assert net.reallocations == 1
+
+
+def test_step_driving_solves_every_mutation_at_once():
+    # Outside a run loop there is no instant to coalesce over: each
+    # mutation solves as it happens, and transfer timing is unchanged.
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+    f1 = net.open([(link, 1.0)])
+
+    def main():
+        yield f1.transfer(200.0)
+        return sim.now
+
+    def competitor():
+        yield 1.0
+        net.open([(link, 1.0)])
+        net.open([(link, 1.0)], cap=10.0)
+
+    task = sim.spawn(main())
+    sim.spawn(competitor())
+    while sim.step():
+        pass
+    assert net.reallocations == 3
+    # 100 B by t=1, then 45 B/s: 100/45 s more
+    assert task.result == 1.0 + 100.0 / 45.0
+
+
+def test_run_until_ending_on_dirty_instant():
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+    f1 = net.open([(link, 1.0)])
+
+    def main():
+        yield f1.transfer(200.0)
+        return sim.now
+
+    def competitor():
+        yield 1.0
+        net.open([(link, 1.0)])
+        net.open([(link, 1.0)])
+        yield 5.0
+
+    task = sim.spawn(main())
+    sim.spawn(competitor())
+    assert sim.run(until=1.0) == 1.0
+    # the instant's flush ran before run() returned
+    assert not net._dirty
+    assert net.reallocations == 2
+    assert f1._rate == pytest.approx(100.0 / 3)
+    sim.run()
+    assert task.result == pytest.approx(4.0)
+
+
+def test_run_until_complete_leaves_flush_for_observers():
+    # The task finishes on the instant it mutated, so the run loop exits
+    # with the flush still queued; reading a rate solves, and the queued
+    # flush later finds nothing to do.
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+
+    def proc():
+        yield 1.0
+        return net.open([(link, 1.0)]), net.open([(link, 1.0)])
+
+    f1, f2 = sim.run_until_complete(sim.spawn(proc()))
+    assert net._dirty and net.reallocations == 0
+    assert (f1.rate, f2.rate) == (50.0, 50.0)
+    assert net.reallocations == 1
+    sim.run()
+    assert net.reallocations == 1 and not sim.has_pending()
+
+
+def test_stranded_transfer_still_deadlocks():
+    sim, net = make_net()
+    link = net.add_link("l", 100.0)
+    f1 = net.open([(link, 1.0)])
+    f2 = net.open([(link, 1.0)])
+
+    def other():
+        # keeps mutating on the victim's instant, so a flush stays queued
+        net.open([(link, 1.0)])
+        yield None
+        net.close(f2)
+
+    def victim():
+        net.close(f1)
+        yield f1.transfer(100.0)
+
+    sim.spawn(other())
+    task = sim.spawn(victim())
+    with pytest.raises(DeadlockError):
+        sim.run_until_complete(task)
+    assert not net._dirty
+    assert sim.now == 0.0 and not sim.has_pending()
+
+
+def test_same_instant_opens_cost_one_solve():
+    sim, net = make_net()
+    nics = [net.add_link(f"nic{i}", 1000.0) for i in range(16)]
+    tgts = [net.add_link(f"tgt{i}", 300.0) for i in range(32)]
+    flows = []
+
+    def rank(i):
+        yield 0.5
+        spec = [(nics[i // 16], 1.0)]
+        spec += [(tgts[(i + k) % 32], 0.25) for k in range(4)]
+        flows.append(net.open(spec, label=str(i)))
+
+    for i in range(256):
+        sim.spawn(rank(i))
+    sim.run()
+    assert net.reallocations == 1
+    assert net.solved_flows == 256
+
+    eager_sim = Simulator()
+    eager = EagerFlowNetwork(eager_sim)
+    e_links = {l.name: eager.add_link(l.name, l.capacity)
+               for l in nics + tgts}
+    e_flows = [eager.open([(e_links[l.name], w) for l, w in f.links])
+               for f in flows]
+    assert eager.reallocations == 256
+    assert [f.rate for f in flows] == [f.rate for f in e_flows]
+
+
+def test_utilization_gauge_one_point_per_instant():
+    from repro.obs import install
+
+    def run(net_cls):
+        sim = Simulator()
+        install(sim, tracing=False, metrics=True)
+        net = net_cls(sim)
+        a = net.add_link("a", 100.0)
+        b = net.add_link("b", 60.0)
+
+        def burst(t, ops):
+            yield t
+            for op in ops:
+                op()
+                yield None
+
+        flows = []
+        sim.spawn(burst(1.0, [
+            lambda: flows.append(net.open([(a, 1.0)])),
+            lambda: flows.append(net.open([(a, 1.0), (b, 1.0)])),
+            lambda: flows.append(net.open([(b, 1.0)], cap=10.0)),
+        ]))
+        sim.spawn(burst(2.0, [
+            lambda: net.set_link_capacity(b, 15.0),
+            lambda: flows[0].set_cap(20.0),
+            lambda: net.close(flows[2]),
+        ]))
+        sim.spawn(burst(3.0, [lambda i=i: net.close(flows[i])
+                              for i in range(3)]))
+        sim.run(until=4.0)
+        return {name: sim.metrics.gauge(
+                    f"fabric.link.utilization{{link={name}}}")
+                for name in ("a", "b")}, sim.now
+
+    gauges, now = run(FlowNetwork)
+    oracle, _ = run(EagerFlowNetwork)
+    for name, gauge in gauges.items():
+        times = [t for t, _v in gauge.timeline]
+        assert times == [1.0, 2.0, 3.0], name
+        assert len(oracle[name].timeline) > len(times)
+        assert gauge.mean(now) == oracle[name].mean(now)
+        assert gauge.timeline[-1] == oracle[name].timeline[-1]
