@@ -13,6 +13,11 @@ Two layers:
   both solvers — wall time, solver seconds, the solver speedup (the
   acceptance criterion: >= 5x), and byte-identity of the bandwidths.
 
+The runtime always solves with the incremental solver; the reference
+solver is the test oracle ``tests/network/reference_solver.py``, swapped
+in through the network's ``_solver`` attribute (``conftest`` puts the
+repository root on ``sys.path`` so ``tests`` is importable).
+
 ``python benchmarks/bench_flows.py`` writes ``artifacts/BENCH_flows.json``
 (the ``make bench-flows`` artifact); ``--check`` additionally compares
 against the committed baseline ``benchmarks/BENCH_flows.json`` and exits
@@ -39,6 +44,7 @@ from repro.cluster import nextgenio
 from repro.ior import IorParams, run_ior
 from repro.network.flows import FlowNetwork
 from repro.sim import Simulator
+from tests.network.reference_solver import use_reference
 
 SOLVERS = ("reference", "incremental")
 
@@ -120,7 +126,9 @@ def _churn_once(solver: str, scenario: str, n_ops: int = N_OPS) -> float:
     solver second.  Seeded: every call performs the identical ops."""
     rng = random.Random(0xF105)
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(sim)
+    if solver == "reference":
+        use_reference(net)
     maker = SCENARIOS[scenario](net, rng)
     flows = []
     for _ in range(n_ops):
@@ -168,7 +176,9 @@ def churn_pair(scenario: str, n_ops: int = N_OPS, trials: int = 3) -> dict:
 
 def run_figure_point(solver: str):
     """The 16x16 quick-scale fig-1 DFS FPP point under ``solver``."""
-    cluster = nextgenio(client_nodes=16, flow_solver=solver)
+    cluster = nextgenio(client_nodes=16)
+    if solver == "reference":
+        use_reference(cluster.fabric.flownet)
     params = IorParams(api="DFS", file_per_proc=True, interleaved=False,
                       oclass="SX", block_size="16m", transfer_size="1m")
     t0 = time.perf_counter()

@@ -11,6 +11,9 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
+# the repository root, for the test-side flow-solver oracle
+# (tests/network/reference_solver.py) that bench_flows.py compares against
+sys.path.insert(1, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pytest
 

@@ -218,14 +218,6 @@ class VosContainer:
             raise DerInval(f"akey {akey!r} holds a single value")
         return tree.read(offset, length)
 
-    def array_size(self, oid: Any, dkey: Any, akey: Any) -> int:
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
-        if tree is None or isinstance(tree, _SingleValue):
-            return 0
-        return tree.size
-
     def punch_array(
         self, oid: Any, dkey: Any, akey: Any, offset: int, length: int
     ) -> int:
@@ -325,15 +317,6 @@ class VosContainer:
                         if ext.epoch > after_epoch:
                             yield ("extent", dkey, akey, ext.offset,
                                    ext.payload, ext.epoch)
-
-    def max_extent_epoch(self, oid: Any, dkey: Any, akey: Any) -> int:
-        """Newest extent epoch under (dkey, akey), or 0 when empty."""
-        obj = self.objects.get(oid)
-        akeys = obj.dkeys.get(dkey) if obj else None
-        tree = akeys.get(akey) if akeys is not None else None
-        if tree is None or isinstance(tree, _SingleValue):
-            return 0
-        return tree.max_epoch
 
     def punch_dkey(self, oid: Any, dkey: Any) -> bool:
         obj = self.objects.get(oid)

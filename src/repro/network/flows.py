@@ -25,7 +25,7 @@ Solver engine
 
 Reallocation is structured as register -> compute -> allocate (the psim
 ``BandwidthAllocator`` idiom): mutations (open/close/``set_cap``/
-``set_link_capacity``) *register* dirty links and flows with the active
+``set_link_capacity``) *register* dirty links and flows with the
 solver; :meth:`FlowNetwork._reallocate` asks the solver to *plan* the
 set of flows whose rates may change, lets it *compute* new rates, then
 *allocates* — syncing and rescheduling only the affected transfers and
@@ -47,32 +47,27 @@ can observe a rate solves pending mutations first:
 No simulated time passes between mutations at one instant, so
 intermediate rates move no bytes, and the one coalesced solve sees the
 state the last per-mutation solve would have: the same rates bit for
-bit under the reference solver or within one component (several dirty
-components filled together may differ in the last ulp, as the two
-solvers already do). A transfer whose completion is due at the current
-instant counts as finished when re-solved, so its completion time cannot
-hang on rounding noise in its residual bytes. Outside a run loop (direct
-API use, ``Simulator.step`` driving) every mutation still solves at once.
+bit within one component (several dirty components filled together may
+differ in the last ulp). A transfer whose completion is due at the
+current instant counts as finished when re-solved, so its completion
+time cannot hang on rounding noise in its residual bytes. Outside a run
+loop (direct API use, ``Simulator.step`` driving) every mutation still
+solves at once.
 
-Two solvers implement the compute phase:
-
-- :class:`ReferenceSolver` — the original pure-Python progressive
-  filling over *all* flows and links.  It is the oracle for the
-  differential test harness (``tests/network/test_solver_equivalence``)
-  and the byte-stability anchor for the pinned seed figures.
-- :class:`IncrementalSolver` (default) — tracks dirty links so a change
-  re-solves only the connected component of flows touching changed
-  links (flows in untouched components keep their rates *and* their
-  scheduled completion events), and runs progressive filling as numpy
-  vector operations over a flow x link incidence matrix.  The float
-  semantics mirror the reference solver operation-for-operation (fold
-  order of denominators, strict-< bottleneck tie-breaks, per-flow
-  denominator decrements with intermediate clamping), so on workloads
-  whose flow graph stays a single component — every IOR figure point —
-  the two solvers agree byte-for-byte, not just within tolerance.
-
-Select with ``REPRO_FLOW_SOLVER=reference|incremental`` (or the
-``solver=`` argument) to bisect determinism suspects.
+:class:`IncrementalSolver` implements the compute phase. It tracks dirty
+links so a change re-solves only the connected component of flows
+touching changed links (flows in untouched components keep their rates
+*and* their scheduled completion events), and runs progressive filling
+as numpy vector operations over a flow x link incidence matrix. Its
+float semantics mirror the original global pure-Python solver
+operation for operation (fold order of denominators, strict-<
+bottleneck tie-breaks, per-flow denominator decrements with
+intermediate clamping), so on workloads whose flow graph stays a single
+component — every IOR figure point — the two agree byte for byte, not
+just within tolerance. That original solver lives on as a test oracle
+(``tests/network/reference_solver.py``); tests swap it in through the
+network's ``_solver`` attribute, which is the only place a solver is
+chosen.
 
 Reallocation happens only when the flow population changes (open/close/
 cap change), at most once per instant, so steady phases — exactly what
@@ -86,7 +81,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import os
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -101,8 +95,6 @@ _EPS = 1e-9
 #: rate assigned to flows with no binding constraint (no links, no cap):
 #: effectively instantaneous in the fluid model.
 _UNBOUNDED_RATE = 1e18
-
-SOLVER_ENV = "REPRO_FLOW_SOLVER"
 
 _LOG = logging.getLogger(__name__)
 
@@ -202,127 +194,8 @@ class Transfer:
 
 
 # --------------------------------------------------------------------------
-# Solvers
+# Solver
 # --------------------------------------------------------------------------
-
-
-class ReferenceSolver:
-    """Global progressive filling, exactly as originally shipped.
-
-    Every reallocation re-solves all flows over all links in pure
-    Python.  Kept as the oracle for the differential equivalence suite
-    and as the byte-stability anchor: its arithmetic (and therefore the
-    pinned seed figures) must never drift.
-    """
-
-    name = "reference"
-
-    def __init__(self, net: "FlowNetwork"):
-        self.net = net
-
-    # -- register phase: global solver ignores dirtiness ------------------
-    def note_link_added(self, link: Link) -> None:
-        pass
-
-    def note_link_dirty(self, link: Link) -> None:
-        pass
-
-    def note_flow_added(self, flow: Flow) -> None:
-        pass
-
-    def note_flow_removed(self, flow: Flow) -> None:
-        pass
-
-    def note_cap_changed(self, flow: Flow) -> None:
-        pass
-
-    def plan(self) -> Tuple[List[Flow], List[Link]]:
-        net = self.net
-        return net._flows, list(net._links.values())
-
-    # -- compute phase ----------------------------------------------------
-    def compute(self, flows: Sequence[Flow]) -> None:
-        net = self.net
-        n = len(flows)
-        remaining = {link: link.capacity for link in net._links.values()}
-        denom: Dict[Link, float] = {}
-        flow_links: Dict[Flow, List[Tuple[Link, float]]] = {}
-        for flow in flows:
-            flow._rate = 0.0
-            flow_links[flow] = flow.links
-            for link, weight in flow.links:
-                denom[link] = denom.get(link, 0.0) + weight
-
-        index = {flow: i for i, flow in enumerate(flows)}
-        unfixed = set(range(n))
-        level = 0.0  # common rate of all unfixed flows
-        guard = 0
-        while unfixed:
-            guard += 1
-            if guard > n + len(denom) + 2:
-                raise NetworkError("progressive filling failed to converge")
-            # Next link saturation point.
-            delta_link = math.inf
-            bottleneck: Optional[Link] = None
-            for link, d in denom.items():
-                if d > _EPS:
-                    step = remaining[link] / d
-                    if step < delta_link:
-                        delta_link = step
-                        bottleneck = link
-            # Next cap crossing.
-            delta_cap = math.inf
-            for i in unfixed:
-                cap = flows[i].cap
-                if cap is not None:
-                    headroom = cap - level
-                    if headroom < delta_cap:
-                        delta_cap = headroom
-            delta = min(delta_link, delta_cap)
-            if delta is math.inf:
-                # No binding constraint at all (flows with no links/caps):
-                # they are infinitely fast in the fluid model; pick a huge
-                # rate so transfers are effectively instantaneous.
-                for i in unfixed:
-                    flows[i]._rate = _UNBOUNDED_RATE
-                break
-            if delta < 0:
-                delta = 0.0
-            level += delta
-            for link in denom:
-                remaining[link] -= delta * denom[link]
-
-            newly_fixed: List[int] = []
-            if delta_cap <= delta_link:
-                for i in list(unfixed):
-                    cap = flows[i].cap
-                    if cap is not None and cap - level <= _EPS:
-                        newly_fixed.append(i)
-            if delta_link <= delta_cap and bottleneck is not None:
-                for flow in bottleneck._flows:
-                    idx = index[flow]
-                    if idx in unfixed:
-                        newly_fixed.append(idx)
-            if not newly_fixed:
-                # Numerical corner: force-fix the bottleneck link's flows.
-                if bottleneck is not None:
-                    for flow in bottleneck._flows:
-                        idx = index[flow]
-                        if idx in unfixed:
-                            newly_fixed.append(idx)
-                if not newly_fixed:
-                    net._note_forced_exit(level, len(unfixed))
-                    break
-            for i in newly_fixed:
-                if i not in unfixed:
-                    continue
-                unfixed.discard(i)
-                flow = flows[i]
-                flow._rate = level
-                for link, weight in flow_links[flow]:
-                    denom[link] -= weight
-                    if denom[link] < _EPS:
-                        denom[link] = 0.0
 
 
 class IncrementalSolver:
@@ -344,8 +217,6 @@ class IncrementalSolver:
     already-scheduled completion events — the allocate phase never
     touches them.
     """
-
-    name = "incremental"
 
     _INITIAL = 64
 
@@ -638,21 +509,11 @@ class IncrementalSolver:
             flow._rate = float(rates[i])
 
 
-_SOLVERS = {
-    ReferenceSolver.name: ReferenceSolver,
-    IncrementalSolver.name: IncrementalSolver,
-}
-
-
 class FlowNetwork:
-    """Container of links and flows; performs max-min fair allocation.
+    """Container of links and flows; performs max-min fair allocation
+    with an :class:`IncrementalSolver`."""
 
-    ``solver`` selects the allocation engine (``"reference"`` or
-    ``"incremental"``); when omitted, the ``REPRO_FLOW_SOLVER``
-    environment variable decides, defaulting to ``"incremental"``.
-    """
-
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
+    def __init__(self, sim: Simulator):
         self.sim = sim
         self._links: Dict[str, Link] = {}
         self._flows: List[Flow] = []
@@ -667,19 +528,11 @@ class FlowNetwork:
         self.forced_exits = 0
         #: cumulative wall-clock seconds spent in reallocation
         self.solver_seconds = 0.0
-        #: cumulative flows re-solved across reallocations (== flows *
-        #: reallocations for the reference solver; less when the
-        #: incremental solver skips untouched components)
+        #: cumulative flows re-solved across reallocations (less than
+        #: flows * reallocations when untouched components are skipped)
         self.solved_flows = 0
         self._next_serial = 0
-        name = solver or os.environ.get(SOLVER_ENV, "") or "incremental"
-        try:
-            self._solver = _SOLVERS[name](self)
-        except KeyError:
-            raise NetworkError(
-                f"unknown flow solver {name!r} "
-                f"(valid: {', '.join(sorted(_SOLVERS))})"
-            ) from None
+        self._solver = IncrementalSolver(self)
 
     # -- topology ------------------------------------------------------------
     def add_link(self, name: str, capacity: float) -> Link:

@@ -125,10 +125,10 @@ class Counter:
 class Gauge:
     """Time-weighted gauge with a bounded (t, value) timeline.
 
-    The integral/mean machinery mirrors ``repro.sim.trace._Gauge``
-    (including the created-time window fix); on top of it the timeline
-    retains the most recent :data:`GAUGE_TIMELINE_CAP` set-points so
-    utilisation curves survive into the JSON snapshot.
+    The mean integrates over the observed window only, from the gauge's
+    creation rather than from t=0; the timeline retains the most recent
+    :data:`GAUGE_TIMELINE_CAP` set-points so utilisation curves survive
+    into the JSON snapshot.
     """
 
     __slots__ = ("name", "created", "last_t", "value", "integral", "timeline",
@@ -221,10 +221,6 @@ class Histogram:
             return 0
         idx = int(math.ceil(math.log2(value / _HIST_LO)))
         return min(max(idx, 0), _HIST_BUCKETS - 1)
-
-    @staticmethod
-    def _upper(idx: int) -> float:
-        return bucket_upper(idx)
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (q in [0, 1]); 0.0 when empty."""

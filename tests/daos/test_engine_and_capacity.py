@@ -7,6 +7,7 @@ from repro.cluster import small_cluster
 from repro.daos.oclass import S1, S2
 from repro.daos.vos.payload import PatternPayload
 from repro.errors import DerNoSpace, DerNonexist
+from repro.faults import CrashEngine, FaultSchedule, RestartEngine
 from repro.units import KiB, MiB
 
 
@@ -102,10 +103,27 @@ def test_engine_stats_count_rpcs_and_tree_creates():
         arr_obj.close()
 
     cluster.run(go())
-    rpcs = sum(e.stats.count("rpcs") for e in cluster.daos.engines)
-    creates = sum(e.stats.count("tree_creates") for e in cluster.daos.engines)
+    rpcs = sum(e.stats["rpcs"] for e in cluster.daos.engines)
+    creates = sum(e.stats["tree_creates"] for e in cluster.daos.engines)
     assert rpcs >= 1
     assert creates == 2
+
+
+def test_engine_crash_and_restart_are_counted_once():
+    """One injected crash and restart count once each; a repeated crash
+    of a down engine or restart of an up one is a no-op, not a count."""
+    cluster = small_cluster(server_nodes=2, client_nodes=1,
+                            targets_per_engine=2)
+    engine = cluster.daos.engines[1]
+    schedule = (FaultSchedule()
+                .at(0.001, CrashEngine(1)).at(0.002, CrashEngine(1))
+                .at(0.003, RestartEngine(1)).at(0.004, RestartEngine(1)))
+    cluster.inject(schedule)
+    cluster.sim.run(until=cluster.sim.now + 0.01)
+    assert engine.up
+    assert engine.stats["crashes"] == engine.stats["restarts"] == 1
+    assert all(e.stats["crashes"] == 0 for e in cluster.daos.engines
+               if e is not engine)
 
 
 def test_first_write_cost_charged_once():

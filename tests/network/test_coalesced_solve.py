@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.network.flows import _EPS, FlowNetwork
 from repro.sim import Simulator
+from tests.network.reference_solver import use_reference
 
 
 class EagerFlowNetwork(FlowNetwork):
@@ -90,7 +91,9 @@ def run_script(net_cls, solver, topology, script):
     """Run ``script`` on a fresh network; return the completion time of
     every transfer, every opened flow's final rate, and the network."""
     sim = Simulator()
-    net = net_cls(sim, solver=solver)
+    net = net_cls(sim)
+    if solver == "reference":
+        use_reference(net)
     links = [net.add_link(f"l{i}", LINK_CAPS[i % len(LINK_CAPS)])
              for i in range(N_LINKS)]
     opened = []  # every flow, in open order
@@ -198,8 +201,8 @@ class ProbeFlowNetwork(FlowNetwork):
     """Records, for each completion that arrived while a mutation was
     unsolved, whether it completed (rather than being superseded)."""
 
-    def __init__(self, sim, solver=None):
-        super().__init__(sim, solver=solver)
+    def __init__(self, sim):
+        super().__init__(sim)
         self.dirty_completions = []
 
     def _complete(self, transfer, generation):

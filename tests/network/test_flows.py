@@ -587,3 +587,16 @@ def test_utilization_gauge_one_point_per_instant():
         assert len(oracle[name].timeline) > len(times)
         assert gauge.mean(now) == oracle[name].mean(now)
         assert gauge.timeline[-1] == oracle[name].timeline[-1]
+
+
+def test_runtime_solver_is_not_selectable(monkeypatch):
+    """The environment variable that once picked the solver is ignored:
+    every network, standalone or inside a cluster, solves incrementally."""
+    from repro.cluster import nextgenio
+    from repro.network.flows import IncrementalSolver
+
+    monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
+    _sim, net = make_net()
+    assert type(net._solver) is IncrementalSolver
+    cluster = nextgenio(client_nodes=1)
+    assert type(cluster.fabric.flownet._solver) is IncrementalSolver

@@ -30,6 +30,7 @@ import pytest
 
 from repro.network.flows import _EPS, FlowNetwork
 from repro.sim import Simulator
+from tests.network.reference_solver import use_reference
 
 #: randomized operation sequences per topology shape
 N_SEQUENCES = 40
@@ -136,10 +137,8 @@ class MirroredPair:
     def __init__(self, shape, seed):
         self.rng = random.Random(seed)
         self.sims = (Simulator(), Simulator())
-        self.nets = tuple(
-            FlowNetwork(sim, solver=name)
-            for sim, name in zip(self.sims, ("reference", "incremental"))
-        )
+        self.nets = (use_reference(FlowNetwork(self.sims[0])),
+                     FlowNetwork(self.sims[1]))
         # same seed for both builds => mirrored topologies; keep parallel
         # link lists so ops can address "the same link" on both sides
         made = [shape(net, random.Random(seed + 1)) for net in self.nets]
@@ -246,10 +245,7 @@ def test_suite_meets_acceptance_scale():
 
 def make_pair():
     sims = (Simulator(), Simulator())
-    nets = tuple(
-        FlowNetwork(sim, solver=name)
-        for sim, name in zip(sims, ("reference", "incremental"))
-    )
+    nets = (use_reference(FlowNetwork(sims[0])), FlowNetwork(sims[1]))
     return sims, nets
 
 
@@ -339,7 +335,9 @@ def test_forced_exit_degenerate_topology(solver, caplog):
     import logging
 
     sim = Simulator()
-    net = FlowNetwork(sim, solver=solver)
+    net = FlowNetwork(sim)
+    if solver == "reference":
+        use_reference(net)
     with caplog.at_level(logging.WARNING, logger="repro.network.flows"):
         a, b, c = _build_forced_exit(net)
     assert net.forced_exits == 1
@@ -354,7 +352,7 @@ def test_forced_exit_metric_counted():
 
     sim = Simulator()
     install(sim, tracing=False, metrics=True)
-    net = FlowNetwork(sim, solver="incremental")
+    net = FlowNetwork(sim)
     _build_forced_exit(net)
     assert net.forced_exits == 1
     assert sim.metrics.counter("fabric.solver.forced_exit").value == 1

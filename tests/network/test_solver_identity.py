@@ -17,14 +17,17 @@ import pytest
 
 from repro.cluster import nextgenio
 from repro.ior import IorParams, run_ior
+from tests.network.reference_solver import use_reference
 
 #: the DFS file-per-process seed figure from test_cache_determinism.py —
 #: the incremental solver must also hit it exactly
 DFS_FPP_SEED = (6142348807.511658, 4306533837.826945)
 
 
-def run_point(file_per_proc, interleaved, flow_solver):
-    cluster = nextgenio(client_nodes=1, flow_solver=flow_solver)
+def run_point(file_per_proc, interleaved, solver):
+    cluster = nextgenio(client_nodes=1)
+    if solver == "reference":
+        use_reference(cluster.fabric.flownet)
     params = IorParams(
         api="DFS",
         file_per_proc=file_per_proc,

@@ -1,4 +1,4 @@
-"""Metrics registry and Stats reservoir/gauge semantics."""
+"""Metrics registry semantics: gauges, histograms, reservoirs, export."""
 
 import json
 import math
@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     RESERVOIR_CAP,
     write_metrics,
 )
-from repro.sim.trace import Stats, RESERVOIR_CAP as STATS_RESERVOIR_CAP
 
 
 class _Clock:
@@ -184,46 +183,3 @@ def test_write_metrics_picks_format_by_extension(tmp_path):
     write_metrics(reg, str(blob))
     assert "# TYPE c counter" in prom.read_text()
     assert json.loads(blob.read_text())["counters"]["c"] == 1.0
-
-
-# ---------------------------------------------------------- sim.trace.Stats
-def test_stats_samples_are_bounded_reservoirs():
-    stats = Stats(_Clock())
-    n = STATS_RESERVOIR_CAP * 3
-    for i in range(n):
-        stats.sample("latency", float(i))
-    res = stats.samples["latency"]
-    assert len(res) == STATS_RESERVOIR_CAP
-    assert res.count == n
-    # count/total stay exact, so the mean ignores eviction entirely
-    assert stats.sample_mean("latency") == pytest.approx((n - 1) / 2.0)
-
-
-def test_stats_reservoirs_deterministic_across_instances():
-    def fill():
-        stats = Stats(_Clock())
-        for i in range(STATS_RESERVOIR_CAP * 2):
-            stats.sample("k", float(i))
-        return list(stats.samples["k"])
-
-    assert fill() == fill()
-
-
-def test_stats_gauge_created_late_is_not_diluted():
-    clock = _Clock(now=100.0)
-    stats = Stats(clock)
-    stats.gauge("qdepth", 8.0)  # first set at t=100
-    clock.now = 110.0
-    # 8.0 held over the whole observed window [100, 110)
-    assert stats.gauge_mean("qdepth") == pytest.approx(8.0)
-
-
-def test_stats_gauge_mean_time_weighted():
-    clock = _Clock(now=0.0)
-    stats = Stats(clock)
-    stats.gauge("g", 2.0)
-    clock.now = 1.0
-    stats.gauge("g", 4.0)
-    clock.now = 2.0
-    stats.gauge("g", 0.0)
-    assert stats.gauge_mean("g") == pytest.approx(3.0)
